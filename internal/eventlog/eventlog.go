@@ -1,8 +1,10 @@
-// Package eventlog implements the structured service log behind UniAsk's
-// monitoring (§9): the dashboard "directly queries the logs of the various
-// microservices". Services append typed events to a log (in memory, with
-// JSONL export/import for durability); the analytics side runs filtered
-// queries and aggregations over it to build the dashboard panels.
+// Package eventlog implements the structured service log of UniAsk's
+// monitoring (§9), where the paper's dashboard "directly queries the logs of
+// the various microservices". Services append typed events to a bounded
+// in-memory log that keeps the most recent Capacity events (with JSONL
+// export/import for durability); filtered queries and aggregations run over
+// the retained window. The live dashboard reads monitor.Metrics, not this
+// log.
 package eventlog
 
 import (
@@ -32,23 +34,45 @@ type Event struct {
 	Fields map[string]string `json:"fields,omitempty"`
 }
 
-// Log is an append-only in-memory event log safe for concurrent use.
+// Capacity is the number of most recent events a Log retains. A service
+// appends an event or two per request for as long as it runs, so an
+// unbounded log grows without limit; at roughly 0.4 KB an event the ring
+// holds about 0.4 MB.
+const Capacity = 1024
+
+// Log is an in-memory event log holding the most recent Capacity events:
+// once full, each append overwrites the oldest event. Safe for concurrent
+// use.
 type Log struct {
-	mu     sync.RWMutex
+	mu sync.RWMutex
+	// events is the ring storage (len ≤ Capacity); once it is full, next is
+	// the slot the next append overwrites, which holds the oldest event.
 	events []Event
+	next   int
 }
 
 // New creates an empty log.
 func New() *Log { return &Log{} }
 
-// Append adds an event.
+// Append adds an event, evicting the oldest one when the log is full.
 func (l *Log) Append(e Event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.events = append(l.events, e)
+	if len(l.events) < Capacity {
+		l.events = append(l.events, e)
+		return
+	}
+	l.events[l.next] = e
+	l.next = (l.next + 1) % Capacity
 }
 
-// Len reports the number of events.
+// retained returns the retained events in append order, as the ring's two
+// runs: oldest to the end of storage, then its start. The caller holds l.mu.
+func (l *Log) retained() [2][]Event {
+	return [2][]Event{l.events[l.next:], l.events[:l.next]}
+}
+
+// Len reports the number of retained events.
 func (l *Log) Len() int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -89,9 +113,11 @@ func (l *Log) Select(q Query) []Event {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	var out []Event
-	for _, e := range l.events {
-		if q.matches(e) {
-			out = append(out, e)
+	for _, run := range l.retained() {
+		for _, e := range run {
+			if q.matches(e) {
+				out = append(out, e)
+			}
 		}
 	}
 	return out
@@ -102,9 +128,11 @@ func (l *Log) Count(q Query) int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	n := 0
-	for _, e := range l.events {
-		if q.matches(e) {
-			n++
+	for _, run := range l.retained() {
+		for _, e := range run {
+			if q.matches(e) {
+				n++
+			}
 		}
 	}
 	return n
@@ -117,22 +145,24 @@ func (l *Log) Aggregate(q Query, key string) map[string]int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	out := make(map[string]int)
-	for _, e := range l.events {
-		if !q.matches(e) {
-			continue
+	for _, run := range l.retained() {
+		for _, e := range run {
+			if !q.matches(e) {
+				continue
+			}
+			var v string
+			switch key {
+			case "service":
+				v = e.Service
+			case "type":
+				v = e.Type
+			case "user":
+				v = e.User
+			default:
+				v = e.Fields[key]
+			}
+			out[v]++
 		}
-		var v string
-		switch key {
-		case "service":
-			v = e.Service
-		case "type":
-			v = e.Type
-		case "user":
-			v = e.User
-		default:
-			v = e.Fields[key]
-		}
-		out[v]++
 	}
 	return out
 }
@@ -144,10 +174,12 @@ func (l *Log) AvgDuration(q Query) time.Duration {
 	defer l.mu.RUnlock()
 	var total int64
 	n := 0
-	for _, e := range l.events {
-		if q.matches(e) && e.DurationMS > 0 {
-			total += e.DurationMS
-			n++
+	for _, run := range l.retained() {
+		for _, e := range run {
+			if q.matches(e) && e.DurationMS > 0 {
+				total += e.DurationMS
+				n++
+			}
 		}
 	}
 	if n == 0 {
@@ -156,20 +188,23 @@ func (l *Log) AvgDuration(q Query) time.Duration {
 	return time.Duration(total/int64(n)) * time.Millisecond
 }
 
-// WriteJSONL exports the log as JSON lines.
+// WriteJSONL exports the retained events as JSON lines, oldest first.
 func (l *Log) WriteJSONL(w io.Writer) error {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	enc := json.NewEncoder(w)
-	for _, e := range l.events {
-		if err := enc.Encode(e); err != nil {
-			return fmt.Errorf("eventlog: encode: %w", err)
+	for _, run := range l.retained() {
+		for _, e := range run {
+			if err := enc.Encode(e); err != nil {
+				return fmt.Errorf("eventlog: encode: %w", err)
+			}
 		}
 	}
 	return nil
 }
 
-// ReadJSONL imports events from JSON lines, appending them to the log.
+// ReadJSONL imports events from JSON lines, appending them to the log (so
+// only the last Capacity of them, and of the events already held, remain).
 func (l *Log) ReadJSONL(r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)

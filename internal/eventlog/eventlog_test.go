@@ -2,6 +2,7 @@ package eventlog
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -147,5 +148,103 @@ func TestCountSelectConsistencyProperty(t *testing.T) {
 	}
 	if l.Count(Query{}) != l.Len() {
 		t.Fatal("empty query does not match all")
+	}
+}
+
+// appendN appends n events numbered from first, each carrying its number in
+// Fields["n"] and a one-minute-spaced timestamp.
+func appendN(l *Log, first, n int) {
+	for i := first; i < first+n; i++ {
+		typ := "query"
+		if i%2 == 1 {
+			typ = "feedback"
+		}
+		l.Append(Event{
+			At: t0.Add(time.Duration(i) * time.Minute), Service: "backend", Type: typ,
+			DurationMS: int64(i + 1), Fields: map[string]string{"n": strconv.Itoa(i)},
+		})
+	}
+}
+
+// TestRingRetainsMostRecent wraps the ring several times and checks that
+// exactly the last Capacity events remain, in append order, for every
+// reader.
+func TestRingRetainsMostRecent(t *testing.T) {
+	for _, total := range []int{Capacity - 1, Capacity, Capacity + 1, 2*Capacity + 37} {
+		l := New()
+		appendN(l, 0, total)
+		kept := total
+		if kept > Capacity {
+			kept = Capacity
+		}
+		first := total - kept
+		if l.Len() != kept {
+			t.Fatalf("total %d: Len = %d, want %d", total, l.Len(), kept)
+		}
+		all := l.Select(Query{})
+		if len(all) != kept {
+			t.Fatalf("total %d: Select = %d events, want %d", total, len(all), kept)
+		}
+		for i, e := range all {
+			if want := strconv.Itoa(first + i); e.Fields["n"] != want {
+				t.Fatalf("total %d: event %d is #%s, want #%s", total, i, e.Fields["n"], want)
+			}
+		}
+		queries, feedback := 0, 0
+		var sum int64
+		for i := first; i < total; i++ {
+			if i%2 == 1 {
+				feedback++
+			} else {
+				queries++
+				sum += int64(i + 1)
+			}
+		}
+		if got := l.Count(Query{Type: "query"}); got != queries {
+			t.Fatalf("total %d: Count(query) = %d, want %d", total, got, queries)
+		}
+		if got := l.Aggregate(Query{}, "type"); got["query"] != queries || got["feedback"] != feedback {
+			t.Fatalf("total %d: Aggregate = %v, want %d/%d", total, got, queries, feedback)
+		}
+		if got, want := l.AvgDuration(Query{Type: "query"}), time.Duration(sum/int64(queries))*time.Millisecond; got != want {
+			t.Fatalf("total %d: AvgDuration = %v, want %v", total, got, want)
+		}
+		// The time window sees only retained events: the oldest survivor is
+		// the first match of an unbounded Since.
+		if got := l.Select(Query{Since: t0}); got[0].Fields["n"] != strconv.Itoa(first) {
+			t.Fatalf("total %d: oldest retained = #%s, want #%d", total, got[0].Fields["n"], first)
+		}
+	}
+}
+
+// TestRingJSONLOrder exports a wrapped log and checks the lines come out
+// oldest first, and that re-importing them rebuilds the same window.
+func TestRingJSONLOrder(t *testing.T) {
+	l := New()
+	appendN(l, 0, Capacity+5)
+	var buf bytes.Buffer
+	if err := l.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != Capacity {
+		t.Fatalf("exported %d lines, want %d", len(lines), Capacity)
+	}
+	if !strings.Contains(lines[0], `"n":"5"`) || !strings.Contains(lines[len(lines)-1], `"n":"`+strconv.Itoa(Capacity+4)+`"`) {
+		t.Fatalf("export order: first %s last %s", lines[0], lines[len(lines)-1])
+	}
+	restored := New()
+	appendN(restored, 0, 3) // pushed out by the import
+	if err := restored.ReadJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, want := restored.Select(Query{}), l.Select(Query{})
+	if len(got) != len(want) {
+		t.Fatalf("restored %d events, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Fields["n"] != want[i].Fields["n"] {
+			t.Fatalf("restored event %d is #%s, want #%s", i, got[i].Fields["n"], want[i].Fields["n"])
+		}
 	}
 }

@@ -191,7 +191,11 @@ func TestSegmentedIngestWhileQuery(t *testing.T) {
 	})
 	reader(func() { seg.SearchVector("contentVector", q, 10, nil) })
 	reader(func() {
-		seg.DocByID("g005#0")
+		// Compaction re-adds this chunk into merged segments while the
+		// reader holds its term sets.
+		if d, ok := seg.DocByID("g005#0"); ok && len(d.TermSet("content", seg.Analyzer())) < 2 {
+			t.Errorf("g005#0 lost its content term set")
+		}
 		seg.LiveLen()
 		seg.StatsKey()
 		seg.Epoch()

@@ -62,6 +62,54 @@ type Document struct {
 	Fields map[string]string
 	// Vectors holds the embedding field values.
 	Vectors map[string]vector.Vector
+
+	// terms holds the distinct analyzed terms of the title and content
+	// fields, kept from the analysis Add already runs (and rebuilt from the
+	// postings by Read), so query-time consumers need not analyze stored
+	// text again. Being unexported it does not survive gob: a document that
+	// crossed the wire has none, and TermSet reports that.
+	terms *docTerms
+}
+
+// docTerms is a document's index-time term sets together with the analyzer
+// that produced them.
+type docTerms struct {
+	analyzer       *textproc.Analyzer
+	title, content textproc.TermSet
+}
+
+// TermSet returns the distinct analyzed terms of the document's "title" or
+// "content" field as the index stored them, provided the index analyzed them
+// with an analyzer configured like a. In every other case — another field,
+// another analyzer, a document that was never indexed or came over the wire
+// — it returns the zero TermSet, and the caller analyzes the text itself.
+func (d *Document) TermSet(field string, a *textproc.Analyzer) textproc.TermSet {
+	if d.terms == nil || *d.terms.analyzer != *a {
+		return ""
+	}
+	switch field {
+	case "title":
+		return d.terms.title
+	case "content":
+		return d.terms.content
+	}
+	return ""
+}
+
+// keepsTerms reports whether a searchable field is one whose term set the
+// stored document keeps.
+func keepsTerms(field string) bool { return field == "title" || field == "content" }
+
+// setTerms installs a field's term set, allocating the holder on first use.
+func (d *Document) setTerms(a *textproc.Analyzer, field string, set textproc.TermSet) {
+	if d.terms == nil {
+		d.terms = &docTerms{analyzer: a}
+	}
+	if field == "title" {
+		d.terms.title = set
+	} else {
+		d.terms.content = set
+	}
 }
 
 // posting is one (document, term-frequency) pair in a posting list.
@@ -139,7 +187,10 @@ type Index struct {
 	filterCache map[filterKey][]uint64
 
 	// accPool recycles the flat score accumulators of the BM25 hot path.
-	accPool sync.Pool
+	// It is allocated on its own so that a pool used by a recent search
+	// does not keep this whole index reachable once it is dropped (see
+	// vector.HNSW's statePool).
+	accPool *sync.Pool
 }
 
 // ErrDuplicateID is returned when a document id is added twice.
@@ -181,6 +232,7 @@ func New(cfg Config) *Index {
 		vecs:        make(map[string]vector.Index),
 		filters:     make(map[string]map[string][]int32),
 		filterCache: make(map[filterKey][]uint64),
+		accPool:     new(sync.Pool),
 	}
 	for name, attr := range cfg.Schema {
 		if attr.Searchable {
@@ -263,7 +315,10 @@ func (ix *Index) Add(doc Document) error {
 	ix.epoch.Add(1)
 	ix.statsKey.Add(1)
 	id := int32(len(ix.docs))
-	ix.docs = append(ix.docs, doc)
+	// A document copied out of another index (compaction re-adds
+	// LiveDocs) shares that index's term-set holder; this index analyzes
+	// afresh into its own.
+	doc.terms = nil
 	ix.byID[doc.ID] = id
 	ix.byParent[doc.ParentID] = append(ix.byParent[doc.ParentID], id)
 
@@ -279,7 +334,11 @@ func (ix *Index) Add(doc Document) error {
 		for t, c := range counts {
 			fi.postings[t] = append(fi.postings[t], posting{doc: id, tf: c})
 		}
+		if keepsTerms(name) {
+			doc.setTerms(ix.cfg.Analyzer, name, textproc.NewTermSet(terms)) // sorts terms, now unused
+		}
 	}
+	ix.docs = append(ix.docs, doc)
 	for name, vals := range ix.filters {
 		if v, ok := doc.Fields[name]; ok && v != "" {
 			vals[v] = append(vals[v], id)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 
+	"uniask/internal/textproc"
 	"uniask/internal/vector"
 )
 
@@ -124,6 +125,32 @@ func wrongContainer(r io.Reader, format string, sentinel error) error {
 	return fmt.Errorf("index: %s: detected a %s container: %w", streamName(r), format, sentinel)
 }
 
+// rebuildTerms restores the term sets documents keep (see Document.TermSet)
+// from the postings, which hold exactly the distinct terms Add analyzed. The
+// sets are not part of the snapshot, so every format — legacy, sharded and
+// segmented sections alike, all of which load through Read — comes back
+// with the sets a freshly built index would have.
+func (ix *Index) rebuildTerms() error {
+	for name, fi := range ix.fields {
+		if !keepsTerms(name) {
+			continue
+		}
+		perDoc := make([][]string, len(ix.docs))
+		for term, pl := range fi.postings {
+			for _, p := range pl {
+				if p.doc < 0 || int(p.doc) >= len(perDoc) {
+					return fmt.Errorf("index: field %q: posting of %q names document %d of %d", name, term, p.doc, len(perDoc))
+				}
+				perDoc[p.doc] = append(perDoc[p.doc], term)
+			}
+		}
+		for ord, terms := range perDoc {
+			ix.docs[ord].setTerms(ix.cfg.Analyzer, name, textproc.NewTermSet(terms))
+		}
+	}
+	return nil
+}
+
 // Read restores an index written by Save. The provided Config supplies
 // the non-serializable parts (analyzer, vector-index constructor); its
 // Schema and BM25 params are overridden by the snapshot's.
@@ -170,6 +197,9 @@ func Read(r io.Reader, cfg Config) (*Index, error) {
 			fi.postings[term] = out
 		}
 		ix.fields[name] = fi
+	}
+	if err := ix.rebuildTerms(); err != nil {
+		return nil, err
 	}
 	ix.filters = snap.Filters
 	if ix.filters == nil {

@@ -317,8 +317,13 @@ func (s *Segmented) seal() {
 
 // maybeCompact starts the background compactor when the sealed backlog
 // reaches the fan-in and no compactor is already running. At most one
-// compactor goroutine exists at a time; it keeps merging until the backlog
-// drops below the fan-in.
+// compactor goroutine exists at a time. Once started it keeps merging until
+// a single sealed segment remains: fan-in runs while the backlog allows,
+// then the remainder in one merge. A run that stopped below the fan-in
+// would leave the compactor idle for a few seals and then restart it with
+// a merge of the same size; under steady ingest, queries would alternate
+// between sharing the CPU with a merge and having it to themselves, and
+// their throughput would swing with that duty cycle.
 func (s *Segmented) maybeCompact() {
 	fan := s.scfg.fanIn()
 	if fan <= 1 {
@@ -338,7 +343,7 @@ func (s *Segmented) maybeCompact() {
 		defer s.wg.Done()
 		defer s.compacting.Store(false)
 		for {
-			merged, err := s.CompactOnce(context.Background())
+			merged, err := s.compact(context.Background(), true)
 			if err != nil || !merged {
 				return
 			}
@@ -357,7 +362,9 @@ func (s *Segmented) WaitCompaction() { s.wg.Wait() }
 //
 //   - bounded: exactly fanIn adjacent segments, chosen as the run with the
 //     fewest total chunks (oldest run on ties) — the size-tiered policy
-//     that keeps merge work from re-processing big segments over and over;
+//     that keeps merge work from re-processing big segments over and over
+//     (the background compactor's last merge of a run takes the fewer
+//     segments left, see maybeCompact);
 //   - deterministic: documents re-add in arrival order (segment order,
 //     then ordinal order), so the merged segment's postings, ordinals and
 //     HNSW graphs are reproducible;
@@ -367,11 +374,21 @@ func (s *Segmented) WaitCompaction() { s.wg.Wait() }
 //     final splice takes the write lock, after re-applying any delete that
 //     arrived mid-merge.
 func (s *Segmented) CompactOnce(ctx context.Context) (bool, error) {
+	return s.compact(ctx, false)
+}
+
+// compact is CompactOnce; with rest set, a backlog below the fan-in but of
+// at least two segments is merged whole instead of left alone (the
+// background compactor's final step).
+func (s *Segmented) compact(ctx context.Context, rest bool) (bool, error) {
 	fan := s.scfg.fanIn()
 	if fan <= 1 {
 		return false, nil
 	}
 	s.mu.RLock()
+	if rest && len(s.sealed) >= 2 {
+		fan = min(fan, len(s.sealed))
+	}
 	if len(s.sealed) < fan {
 		s.mu.RUnlock()
 		return false, nil

@@ -386,3 +386,47 @@ func TestSegmentedBackgroundCompactionKeepsUp(t *testing.T) {
 		}
 	}
 }
+
+// TestSegmentedBackgroundCompactionEndsWithOneSegment pins the compactor's
+// stopping rule: once a publish pushes the backlog to the fan-in, it merges
+// until one sealed segment is left (the tail below the fan-in in a single
+// merge), while a backlog below the fan-in starts nothing and CompactOnce
+// still leaves it alone.
+func TestSegmentedBackgroundCompactionEndsWithOneSegment(t *testing.T) {
+	seg := NewSegmented(Config{}, SegmentConfig{MemtableMaxDocs: 8, CompactionFanIn: 4})
+	docs := segCorpus(124)
+	if err := seg.AddBulk(docs[:108]); err != nil {
+		t.Fatal(err)
+	}
+	// 14 sealed segments: 13 full memtables and a tail of 4. Fan-in
+	// merges alone would stop at 2.
+	seg.Publish()
+	seg.WaitCompaction()
+	if st := seg.SegmentStats(); st.Segments != 1 || st.Compactions < 4 {
+		t.Fatalf("after a triggered run: %+v, want one sealed segment", st)
+	}
+
+	for _, d := range docs[108:] {
+		if err := seg.Add(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seg.Publish() // two more seals: a backlog of 3, below the fan-in
+	seg.WaitCompaction()
+	st := seg.SegmentStats()
+	if st.Segments != 3 {
+		t.Fatalf("below the fan-in: %+v, want the 3 sealed segments left alone", st)
+	}
+	if merged, err := seg.CompactOnce(context.Background()); err != nil || merged {
+		t.Fatalf("CompactOnce below the fan-in = %v, %v; want no merge", merged, err)
+	}
+	live := seg.LiveDocs()
+	if len(live) != len(docs) {
+		t.Fatalf("live count %d, want %d", len(live), len(docs))
+	}
+	for i, d := range live {
+		if d.ID != docs[i].ID {
+			t.Fatalf("arrival order broken at %d: %s, want %s", i, d.ID, docs[i].ID)
+		}
+	}
+}

@@ -70,9 +70,10 @@ func (r *Reranker) Recalibrate(c Click) Weights {
 	defer r.mu.Unlock()
 	cur := r.cur.Load()
 	w := cur.w
+	q := r.Prepare(c.Query, c.QueryVec)
 
 	step := func(in Input, label float64) {
-		sem, lex, title := r.features(c.Query, c.QueryVec, in)
+		sem, lex, title := q.features(in)
 		z := w.Semantic*sem + w.Lexical*lex + w.Title*title + w.Bias
 		p := 1 / (1 + math.Exp(-z))
 		g := learnRate * (label - p)

@@ -37,6 +37,12 @@ type Input struct {
 	// ContentVector is the chunk's content embedding (may be nil; the
 	// semantic component is then skipped).
 	ContentVector vector.Vector
+	// TitleTerms and ContentTerms optionally carry the distinct analyzed
+	// terms of Title and Content, as an index analyzer equal to
+	// Reranker.Analyzer stored them (see index.Document.TermSet). A zero
+	// set is derived from the text at scoring time, with identical results.
+	TitleTerms   textproc.TermSet
+	ContentTerms textproc.TermSet
 }
 
 // Scored is a reranked candidate.
@@ -99,35 +105,90 @@ func (r *Reranker) Weights() Weights { return r.cur.Load().w }
 // ranking) whose validity depends on the parameters.
 func (r *Reranker) Version() uint64 { return r.cur.Load().version }
 
-// features computes the three evidence channels for one candidate.
-func (r *Reranker) features(query string, qvec vector.Vector, in Input) (sem, lex, title float64) {
-	qTerms := r.analyzer.AnalyzeUnique(query)
-	if qvec != nil && in.ContentVector != nil {
-		sem = float64(vector.Cosine(qvec, in.ContentVector))
+// Analyzer returns the analyzer the reranker derives term sets with. A
+// caller holding term sets an index analyzed with an equal analyzer may
+// pass them in Input instead of having Score analyze the text again.
+func (r *Reranker) Analyzer() *textproc.Analyzer { return r.analyzer }
+
+// Query is a query prepared for scoring a batch of candidates: its text is
+// analyzed once, each term's weight is computed once, and the weight
+// snapshot is read once, so every candidate of the batch is scored under
+// the same calibration.
+type Query struct {
+	analyzer *textproc.Analyzer
+	vec      vector.Vector
+	w        Weights
+	// terms are the query's distinct terms in delimited form (see
+	// textproc.TermSet.Delimited) with their weights; total is the weight
+	// sum.
+	terms []queryTerm
+	total float64
+}
+
+type queryTerm struct {
+	delimited string
+	weight    float64
+}
+
+// Prepare analyzes query for scoring candidates with Query.Score. qvec is
+// the query embedding (nil skips the semantic channel).
+func (r *Reranker) Prepare(query string, qvec vector.Vector) Query {
+	q := Query{analyzer: r.analyzer, vec: qvec, w: r.cur.Load().w}
+	delimited := r.analyzer.TermSet(query).Delimited()
+	q.terms = make([]queryTerm, len(delimited))
+	for i, d := range delimited {
+		w := 1.0
+		if strings.ContainsAny(d, "0123456789") {
+			w = identifierWeight
+		}
+		q.terms[i] = queryTerm{delimited: d, weight: w}
+		q.total += w
+	}
+	return q
+}
+
+// features computes the three evidence channels for one candidate. Term
+// sets the candidate does not carry are derived from its text.
+func (q *Query) features(in Input) (sem, lex, title float64) {
+	if q.vec != nil && in.ContentVector != nil {
+		sem = float64(vector.Cosine(q.vec, in.ContentVector))
 		if sem < 0 {
 			sem = 0
 		}
 	}
-	lex = overlap(qTerms, r.analyzer.AnalyzeUnique(in.Content))
-	title = overlap(qTerms, r.analyzer.AnalyzeUnique(in.Title))
-	return sem, lex, title
+	content, titleSet := in.ContentTerms, in.TitleTerms
+	if content == "" {
+		content = q.analyzer.TermSet(in.Content)
+	}
+	if titleSet == "" {
+		titleSet = q.analyzer.TermSet(in.Title)
+	}
+	return sem, q.overlap(content), q.overlap(titleSet)
+}
+
+// Score re-scores one candidate against the prepared query.
+func (q *Query) Score(in Input) float64 {
+	sem, lex, title := q.features(in)
+	w := q.w
+	z := w.Semantic*sem + w.Lexical*lex + w.Title*title + w.Bias
+	return 1 / (1 + math.Exp(-z))
 }
 
 // Score re-scores a single candidate against the query (and its embedding,
-// which may be nil).
+// which may be nil). Scoring many candidates for one query is cheaper
+// through Prepare, which analyzes the query once.
 func (r *Reranker) Score(query string, qvec vector.Vector, in Input) float64 {
-	sem, lex, title := r.features(query, qvec, in)
-	w := r.cur.Load().w
-	z := w.Semantic*sem + w.Lexical*lex + w.Title*title + w.Bias
-	return 1 / (1 + math.Exp(-z))
+	q := r.Prepare(query, qvec)
+	return q.Score(in)
 }
 
 // Rerank scores every candidate; it does not reorder — UniAsk adds the
 // semantic score to the RRF score, so combination happens in the caller.
 func (r *Reranker) Rerank(query string, qvec vector.Vector, ins []Input) []Scored {
+	q := r.Prepare(query, qvec)
 	out := make([]Scored, len(ins))
 	for i, in := range ins {
-		out[i] = Scored{ID: in.ID, Score: r.Score(query, qvec, in)}
+		out[i] = Scored{ID: in.ID, Score: q.Score(in)}
 	}
 	return out
 }
@@ -138,21 +199,17 @@ func (r *Reranker) Rerank(query string, qvec vector.Vector, ins []Input) []Score
 const identifierWeight = 3.0
 
 // overlap is the weighted fraction of query terms present in the document
-// term set.
-func overlap(q, d map[string]struct{}) float64 {
-	if len(q) == 0 {
+// term set. The weights are small integers, so the sums are exact and the
+// result does not depend on term order.
+func (q *Query) overlap(d textproc.TermSet) float64 {
+	if q.total == 0 {
 		return 0
 	}
-	var n, total float64
-	for t := range q {
-		w := 1.0
-		if strings.ContainsAny(t, "0123456789") {
-			w = identifierWeight
-		}
-		total += w
-		if _, ok := d[t]; ok {
-			n += w
+	var n float64
+	for _, t := range q.terms {
+		if d.ContainsDelimited(t.delimited) {
+			n += t.weight
 		}
 	}
-	return n / total
+	return n / q.total
 }

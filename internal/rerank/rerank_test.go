@@ -1,6 +1,7 @@
 package rerank
 
 import (
+	"math"
 	"testing"
 
 	"uniask/internal/embedding"
@@ -88,5 +89,34 @@ func TestDeterministic(t *testing.T) {
 	qv := emb.Embed(q)
 	if r.Score(q, qv, in) != r.Score(q, qv, in) {
 		t.Fatal("nondeterministic score")
+	}
+}
+
+// TestOverlapWeights pins the lexical and title channels: the weighted
+// fraction of distinct query terms found in the field, an identifier-like
+// term (one with a digit) weighing identifierWeight. Repeated query words
+// count once.
+func TestOverlapWeights(t *testing.T) {
+	r := New()
+	q := r.Prepare("errore ERR-4032 carta carta bonifico", nil)
+	in := Input{
+		Title:   "Errore ERR-4032",
+		Content: "La carta riporta l'errore ERR-4032 al terminale.",
+	}
+	// Distinct terms: errore, err-4032 (weight 3), carta, bonifico: total 6.
+	_, lex, title := q.features(in)
+	if lex != 5.0/6 || title != 4.0/6 {
+		t.Fatalf("lex, title = %v, %v; want 5/6, 4/6", lex, title)
+	}
+	w := r.Weights()
+	want := 1 / (1 + math.Exp(-(w.Lexical*lex + w.Title*title + w.Bias)))
+	if got := q.Score(in); got != want {
+		t.Fatalf("Score = %v, want %v", got, want)
+	}
+	// Stored term sets stand in for the text exactly.
+	a := r.Analyzer()
+	stored := Input{TitleTerms: a.TermSet(in.Title), ContentTerms: a.TermSet(in.Content)}
+	if got := q.Score(stored); got != want {
+		t.Fatalf("Score from term sets = %v, want %v", got, want)
 	}
 }

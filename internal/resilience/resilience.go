@@ -149,6 +149,25 @@ func (p Policy) classify(err error) Class {
 // same Policy (same Seed) always returns the same sequence — tests assert
 // jitter determinism against this.
 func (p Policy) Delays(n int) []time.Duration {
+	b := p.backoff()
+	out := make([]time.Duration, 0, n)
+	for i := 0; i < n; i++ {
+		out = append(out, b.next())
+	}
+	return out
+}
+
+// backoff generates a policy's delay sequence one wait at a time, so the
+// retry engine builds its jitter source only once an attempt has failed.
+type backoff struct {
+	rng    *rand.Rand
+	d      float64 // unjittered delay of the next wait
+	maxd   time.Duration
+	mult   float64
+	jitter float64
+}
+
+func (p Policy) backoff() *backoff {
 	base := p.BaseDelay
 	if base <= 0 {
 		base = 25 * time.Millisecond
@@ -175,22 +194,21 @@ func (p Policy) Delays(n int) []time.Duration {
 	if seed == 0 {
 		seed = 1
 	}
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]time.Duration, 0, n)
-	d := float64(base)
-	for i := 0; i < n; i++ {
-		scale := 1 - jitter/2 + jitter*rng.Float64()
-		jittered := time.Duration(d * scale)
-		if jittered > maxd {
-			jittered = maxd
-		}
-		out = append(out, jittered)
-		d *= mult
-		if d > float64(maxd) {
-			d = float64(maxd)
-		}
+	return &backoff{rng: rand.New(rand.NewSource(seed)), d: float64(base), maxd: maxd, mult: mult, jitter: jitter}
+}
+
+// next returns the next wait of the sequence.
+func (b *backoff) next() time.Duration {
+	scale := 1 - b.jitter/2 + b.jitter*b.rng.Float64()
+	jittered := time.Duration(b.d * scale)
+	if jittered > b.maxd {
+		jittered = b.maxd
 	}
-	return out
+	b.d *= b.mult
+	if b.d > float64(b.maxd) {
+		b.d = float64(b.maxd)
+	}
+	return jittered
 }
 
 // Do runs op under the policy: it refuses when ctx is already done, bounds
@@ -212,8 +230,8 @@ func DoValue[T any](ctx context.Context, p Policy, op func(context.Context) (T, 
 		return zero, err
 	}
 	attempts := p.attempts()
-	delays := p.Delays(attempts - 1)
 	clock := p.clock()
+	var delays *backoff // built on the first failure: most calls never need it
 
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
@@ -249,8 +267,11 @@ func DoValue[T any](ctx context.Context, p Policy, op func(context.Context) (T, 
 		if attempt == attempts-1 {
 			break
 		}
+		if delays == nil {
+			delays = p.backoff()
+		}
 		select {
-		case <-clock.After(delays[attempt]):
+		case <-clock.After(delays.next()):
 		case <-ctx.Done():
 			return zero, ctx.Err()
 		}

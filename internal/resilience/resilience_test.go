@@ -330,3 +330,67 @@ func TestHedgeRespectsCancellation(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// waitArmed blocks until the virtual clock has exactly n armed timers.
+func waitArmed(t *testing.T, clock *vclock.Virtual, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for clock.PendingWaiters() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %d armed timers (have %d)", n, clock.PendingWaiters())
+		}
+		time.Sleep(10 * time.Microsecond)
+	}
+}
+
+// The retry engine computes each backoff only when an attempt fails; the
+// waits it actually sleeps must still be exactly Delays(n), wait by wait.
+func TestRetrySleepsDelaysSequence(t *testing.T) {
+	for _, seed := range []int64{0, 1, 7, 42, 1 << 40} {
+		clock := vclock.NewVirtual(time.Unix(0, 0))
+		p := Policy{MaxAttempts: 6, BaseDelay: 10 * time.Millisecond, MaxDelay: 150 * time.Millisecond, Seed: seed, Clock: clock}
+		want := p.Delays(p.MaxAttempts - 1)
+		done := make(chan error, 1)
+		go func() {
+			done <- Do(context.Background(), p, func(context.Context) error { return errBoom })
+		}()
+		for i, d := range want {
+			waitArmed(t, clock, 1)
+			clock.Advance(d - time.Nanosecond)
+			if clock.PendingWaiters() != 1 {
+				t.Fatalf("seed %d: wait %d ended before %v", seed, i, d)
+			}
+			clock.Advance(time.Nanosecond)
+		}
+		if err := <-done; !errors.Is(err, ErrBudgetExhausted) {
+			t.Fatalf("seed %d: err = %v, want budget exhausted", seed, err)
+		}
+		if got, total := clock.Now().Sub(time.Unix(0, 0)), sum(want); got != total {
+			t.Fatalf("seed %d: slept %v in all, want %v", seed, got, total)
+		}
+	}
+}
+
+func sum(ds []time.Duration) time.Duration {
+	var s time.Duration
+	for _, d := range ds {
+		s += d
+	}
+	return s
+}
+
+// A call that succeeds on its first attempt must not pay for the backoff
+// schedule (a seeded math/rand source is ~5 KB): it allocates nothing.
+func TestFirstAttemptSuccessAllocatesNothing(t *testing.T) {
+	p := Policy{Seed: 9}
+	op := func(context.Context) (int, error) { return 1, nil }
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := DoValue(ctx, p, op); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("first-attempt success allocates %.1f times per call, want 0", allocs)
+	}
+}

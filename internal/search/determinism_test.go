@@ -20,6 +20,7 @@ import (
 	"uniask/internal/llm"
 	"uniask/internal/pipeline"
 	"uniask/internal/rerank"
+	"uniask/internal/textproc"
 	"uniask/internal/vector"
 )
 
@@ -27,6 +28,13 @@ import (
 // different components genuinely interleave, so any fan-out ordering bug
 // would change the fused ranking.
 func buildLargeSearcher(t testing.TB) *Searcher {
+	t.Helper()
+	return buildLargeSearcherWith(t, nil)
+}
+
+// buildLargeSearcherWith is buildLargeSearcher over an index analyzing with
+// a (nil = the index default).
+func buildLargeSearcherWith(t testing.TB, a *textproc.Analyzer) *Searcher {
 	t.Helper()
 	lex := embedding.MapLexicon{
 		"blocca": "act:block", "sospende": "act:block", "disattiva": "act:block",
@@ -36,7 +44,7 @@ func buildLargeSearcher(t testing.TB) *Searcher {
 		"mutu": "obj:loan", "prestit": "obj:loan",
 	}
 	emb := embedding.NewSynth(64, lex)
-	ix := index.New(index.Config{})
+	ix := index.New(index.Config{Analyzer: a})
 
 	subjects := []string{"carta di credito", "bonifico estero", "conto corrente", "mutuo prima casa", "prestito personale"}
 	actions := []string{"bloccare", "aprire", "chiudere", "modificare", "verificare"}

@@ -595,12 +595,19 @@ func (s *Searcher) fuse(ctx context.Context, rankings []fusion.Ranking, opts Opt
 }
 
 // finalize materializes results and applies semantic reranking: the final
-// score is the RRF score plus the reranker score, re-sorted.
+// score is the RRF score plus the reranker score, re-sorted. The query is
+// analyzed once for the whole batch, and each candidate's lexical and title
+// evidence comes from the term sets the index stored for it.
 func (s *Searcher) finalize(ctx context.Context, query string, qvec vector.Vector, fused []fusion.Fused, opts Options) ([]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	rerankOn := s.Reranker != nil && !opts.DisableSemanticRerank
 	results := make([]Result, 0, len(fused))
+	var inputs []rerank.Input
+	if rerankOn {
+		inputs = make([]rerank.Input, 0, len(fused))
+	}
 	for _, f := range fused {
 		doc, ok := s.Index.DocByID(f.ID)
 		if !ok {
@@ -614,23 +621,20 @@ func (s *Searcher) finalize(ctx context.Context, query string, qvec vector.Vecto
 			Summary:  doc.Fields["summary"],
 			Score:    f.Score,
 		})
+		if rerankOn {
+			inputs = append(inputs, RerankInput(s.Reranker, &doc))
+		}
 	}
-	if s.Reranker == nil || opts.DisableSemanticRerank {
+	if !rerankOn {
 		return results, nil
 	}
 	err := pipeline.Run(ctx, s.obs(), pipeline.StageRerank, len(results), func(ctx context.Context) (int, error) {
+		q := s.Reranker.Prepare(query, qvec)
 		for i := range results {
 			if err := ctx.Err(); err != nil {
 				return 0, err
 			}
-			doc, _ := s.Index.DocByID(results[i].ChunkID)
-			in := rerank.Input{
-				ID:            results[i].ChunkID,
-				Title:         results[i].Title,
-				Content:       results[i].Content,
-				ContentVector: doc.Vectors["contentVector"],
-			}
-			results[i].Score += s.Reranker.Score(query, qvec, in)
+			results[i].Score += q.Score(inputs[i])
 		}
 		sortResults(results)
 		return len(results), nil
@@ -639,6 +643,23 @@ func (s *Searcher) finalize(ctx context.Context, query string, qvec vector.Vecto
 		return nil, err
 	}
 	return results, nil
+}
+
+// RerankInput is the reranker's view of a stored chunk: its title, content
+// and content embedding, plus the title and content term sets the index
+// stored when it analyzed them. The sets are left zero, and the reranker
+// analyzes the text instead, when the chunk carries none or the index's
+// analyzer is configured differently from the reranker's.
+func RerankInput(r *rerank.Reranker, doc *index.Document) rerank.Input {
+	a := r.Analyzer()
+	return rerank.Input{
+		ID:            doc.ID,
+		Title:         doc.Fields["title"],
+		Content:       doc.Fields["content"],
+		ContentVector: doc.Vectors["contentVector"],
+		TitleTerms:    doc.TermSet("title", a),
+		ContentTerms:  doc.TermSet("content", a),
+	}
 }
 
 // searchQGA expands the query with a context-free LLM answer. When the

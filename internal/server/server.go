@@ -96,7 +96,9 @@ type Server struct {
 	Engine   *core.Engine
 	Metrics  *monitor.Metrics
 	Feedback *FeedbackStore
-	// Log is the structured service log the §9 dashboard queries.
+	// Log is the structured service log: the most recent eventlog.Capacity
+	// request, feedback and error events. The dashboard reads Metrics, not
+	// this.
 	Log *eventlog.Log
 	// RequestTimeout is the per-request deadline for the query endpoints
 	// (0 = DefaultRequestTimeout; negative disables the deadline). SSE

@@ -33,6 +33,10 @@ import (
 // so intermediaries don't reap the connection between token bursts.
 const DefaultSSEHeartbeat = 15 * time.Second
 
+// maxTurnDocs is how many ranked documents a session turn streams as
+// citations and records on the turn (the click-feedback candidates).
+const maxTurnDocs = 10
+
 // wireSessionMetrics creates the server's session store and installs the
 // session and rerank-feedback dashboard gauges. Called by both New and
 // NewMultiTenant.
@@ -355,7 +359,7 @@ func (s *Server) handleSessionAsk(w http.ResponseWriter, r *http.Request) {
 		OnCitations: func(results []search.Result) {
 			payload := sseCitations{Documents: []docResponse{}}
 			for i, d := range results {
-				if i >= 10 {
+				if i >= maxTurnDocs {
 					break
 				}
 				payload.Documents = append(payload.Documents, docResponse{
@@ -420,13 +424,12 @@ func (s *Server) handleSessionAsk(w http.ResponseWriter, r *http.Request) {
 		Degraded:       resp.Degraded,
 		DegradedParts:  resp.DegradedParts,
 	}
-	for i, d := range resp.Documents {
-		if i >= 10 {
-			break
-		}
-		turn.Documents = append(turn.Documents, session.TurnDoc{
-			ChunkID: d.ChunkID, ParentID: d.ParentID, Title: d.Title,
-		})
+	// The session retains the turn until it expires, so size its document
+	// list exactly instead of leaving append's slack behind.
+	turn.Documents = make([]session.TurnDoc, min(len(resp.Documents), maxTurnDocs))
+	for i := range turn.Documents {
+		d := resp.Documents[i]
+		turn.Documents[i] = session.TurnDoc{ChunkID: d.ChunkID, ParentID: d.ParentID, Title: d.Title}
 	}
 	// The session may have expired or been evicted while the turn ran; the
 	// turn still completes for this client, the next one gets ErrNotFound.
@@ -548,16 +551,14 @@ func (s *Server) handleSessionFeedback(w http.ResponseWriter, r *http.Request) {
 }
 
 // clickInput resolves a cited turn document into the reranker's feature
-// input, re-reading the live chunk for its text and embedding. A chunk
-// deleted since the turn degrades to the title recorded at answer time.
+// input, re-reading the live chunk for its text, term sets and embedding. A
+// chunk deleted since the turn degrades to the title recorded at answer
+// time.
 func (s *Server) clickInput(q queryGrant, d session.TurnDoc) rerank.Input {
-	in := rerank.Input{ID: d.ChunkID, Title: d.Title}
 	if doc, ok := q.eng.Index.DocByID(d.ChunkID); ok {
-		in.Title = doc.Fields["title"]
-		in.Content = doc.Fields["content"]
-		in.ContentVector = doc.Vectors["contentVector"]
+		return search.RerankInput(q.eng.Searcher.Reranker, &doc)
 	}
-	return in
+	return rerank.Input{ID: d.ChunkID, Title: d.Title}
 }
 
 // mustJSON marshals a payload that cannot fail (plain structs, no cycles).

@@ -96,6 +96,7 @@ func FuzzAnalyze(f *testing.F) {
 			if got, want := len(a.AnalyzeTerms(text)), len(a.Analyze(text)); got != want {
 				t.Fatalf("AnalyzeTerms len %d != Analyze len %d for %q", got, want, text)
 			}
+			checkTermSet(t, a, text)
 		}
 	})
 }
@@ -108,6 +109,7 @@ func TestCrasherCorpus(t *testing.T) {
 		checkTokens(t, c, Tokenize(c))
 		it.Analyze(c)
 		it.AnalyzeUnique(c)
+		checkTermSet(t, it, c)
 		SplitSentences(c)
 	}
 }

@@ -93,7 +93,13 @@ type HNSW struct {
 	cds       []candDist
 	disc      []int32
 
-	statePool sync.Pool
+	// statePool recycles search states. It is allocated on its own rather
+	// than embedded: sync.Pool keeps every pool used since the last GC
+	// reachable until the GC after next, and an embedded pool would keep
+	// the whole graph — arenas and all — reachable with it, so a segment
+	// retired by compaction would outlive its last search by two GC
+	// cycles.
+	statePool *sync.Pool
 }
 
 // candDist pairs a candidate ordinal with its distance during neighbor
@@ -113,6 +119,8 @@ func NewHNSW(cfg HNSWConfig) *HNSW {
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		levelM: 1 / math.Log(float64(cfg.M)),
 		m0:     2 * cfg.M,
+
+		statePool: new(sync.Pool),
 	}
 }
 
